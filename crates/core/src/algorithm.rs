@@ -14,48 +14,17 @@
 use crate::basis::BasisSet;
 use crate::consistency::enforce_consistency;
 use crate::construct::construct_basis_set;
-use crate::freq::{
-    basis_freq_counts_naive, basis_freq_counts_with_histograms, basis_freq_counts_with_index,
-    NoisyCandidateCounts,
-};
+use crate::context::QueryContext;
+use crate::freq::{basis_freq_counts_with_histograms, NoisyCandidateCounts};
 use crate::observe::{NoopObserver, PhaseObserver};
 use crate::params::{PrivBasisParams, SelectionScale};
 use pb_dp::exponential_mechanism;
 use pb_dp::{sample_without_replacement, DpError, Epsilon, ExponentialScale, PrivacyBudget};
 use pb_fim::itemset::{Item, ItemSet};
-use pb_fim::topk::top_k_itemsets;
-use pb_fim::{TransactionDb, VerticalIndex};
-use pb_shard::ShardedDb;
+use pb_fim::TransactionDb;
 use rand::Rng;
 use std::collections::BTreeMap;
-
-/// The counting engine one run executes against. Which variant is in play never changes
-/// the released bytes (all engines produce identical exact counts and consume the same
-/// noise stream); it only changes *where* the counting work happens.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Engine<'a> {
-    /// A single in-memory database, optionally with a caller-provided full index; when
-    /// no index is shared, the run builds a restricted one over the selected items
-    /// (`params.use_index`) or falls back to row scans.
-    Local {
-        /// The database.
-        db: &'a TransactionDb,
-        /// A full prebuilt index over `db`, when the caller has one to share.
-        shared_index: Option<&'a VerticalIndex>,
-    },
-    /// A row-sharded database: every count fans out across shards and merges by
-    /// summation before any noise touches it.
-    Sharded(&'a ShardedDb),
-}
-
-impl Engine<'_> {
-    fn num_transactions(&self) -> usize {
-        match self {
-            Engine::Local { db, .. } => db.len(),
-            Engine::Sharded(s) => s.num_transactions(),
-        }
-    }
-}
+use std::sync::Arc;
 
 /// Errors returned by [`PrivBasis::run`].
 #[derive(Debug, Clone, PartialEq)]
@@ -145,6 +114,9 @@ impl PrivBasis {
     }
 
     /// Publishes the top-`k` frequent itemsets of `db` under `epsilon`-differential privacy.
+    ///
+    /// A one-shot [`PrivBasis::run_shared`] over a fresh 1-shard [`QueryContext`]: the
+    /// same engine, and the same bytes, a serving layer releases for this seed.
     pub fn run<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -152,81 +124,19 @@ impl PrivBasis {
         k: usize,
         epsilon: Epsilon,
     ) -> Result<PrivBasisOutput, PrivBasisError> {
-        self.run_with_index(rng, db, None, k, epsilon)
+        let context = QueryContext::new(Arc::new(db.clone()));
+        self.run_shared(rng, &context, k, epsilon)
     }
 
-    /// [`PrivBasis::run`] with a caller-provided [`VerticalIndex`] over `db`.
-    ///
-    /// Long-lived callers build one full index per dataset and reuse it across queries;
-    /// passing it here skips the per-query [`VerticalIndex::build_restricted`] pass that
-    /// [`PrivBasis::run`] would otherwise do. The index must have been built over this
-    /// `db` (every item of `db` indexed — e.g. via [`VerticalIndex::build`]); a provided
-    /// index takes precedence over `params.use_index`. Output is byte-identical to
-    /// [`PrivBasis::run`] for the same seed: the noise stream and the exact integer
-    /// histograms do not depend on which index served the counts.
-    ///
-    /// The `pb-service` query layer goes one step further and reuses *all* deterministic
-    /// per-dataset precomputation via [`PrivBasis::run_shared`].
-    pub fn run_with_index<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        db: &TransactionDb,
-        shared_index: Option<&VerticalIndex>,
-        k: usize,
-        epsilon: Epsilon,
-    ) -> Result<PrivBasisOutput, PrivBasisError> {
-        // Items sorted by descending frequency; reused by steps 1 and 2. One row scan —
-        // cheaper than any index for a single pass over every item.
-        let items_by_freq = db.items_by_frequency();
-        self.run_pipeline(
-            rng,
-            Engine::Local { db, shared_index },
-            &items_by_freq,
-            |k1| theta_count_direct(db, k1),
-            k,
-            epsilon,
-            None,
-            &NoopObserver,
-        )
-    }
-
-    /// [`PrivBasis::run`] against a [`ShardedDb`]: every exact count — item supports,
-    /// pair supports, θ-candidate supports, and the `BasisFreq` bin histograms — is
-    /// computed per shard and merged by summation, and the Laplace noise is drawn once,
-    /// on the merged histograms, in the same fixed order as the unsharded engines.
-    ///
-    /// For a fixed seed the output is byte-identical to [`PrivBasis::run`] on the
-    /// unsharded concatenation of the shards, for **any** shard count (property-tested
-    /// in `tests/proptest_sharded.rs`), so operators can re-partition a dataset freely
-    /// without changing a single released bit.
-    pub fn run_sharded<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        sharded: &ShardedDb,
-        k: usize,
-        epsilon: Epsilon,
-    ) -> Result<PrivBasisOutput, PrivBasisError> {
-        self.run_pipeline(
-            rng,
-            Engine::Sharded(sharded),
-            sharded.items_by_frequency(),
-            |k1| sharded.kth_support_count(k1),
-            k,
-            epsilon,
-            None,
-            &NoopObserver,
-        )
-    }
-
-    /// [`PrivBasis::run`] against a [`QueryContext`](crate::context::QueryContext):
-    /// the cached full index *and* the memoized deterministic precomputation
-    /// (items-by-frequency, per-`k1` θ counts) are all reused, leaving only the private
-    /// mechanisms and the bin counting on the per-query path. Byte-identical to
-    /// [`PrivBasis::run`] on the context's database for the same seed.
+    /// [`PrivBasis::run`] against a [`QueryContext`]: the cached per-shard indexes
+    /// *and* the memoized deterministic precomputation (items-by-frequency, per-`k1` θ
+    /// counts) are all reused, leaving only the private mechanisms and the bin counting
+    /// on the per-query path. Byte-identical to [`PrivBasis::run`] on the context's
+    /// rows for the same seed, whatever the shard count.
     pub fn run_shared<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-        context: &crate::context::QueryContext,
+        context: &QueryContext,
         k: usize,
         epsilon: Epsilon,
     ) -> Result<PrivBasisOutput, PrivBasisError> {
@@ -242,21 +152,12 @@ impl PrivBasis {
     pub fn run_shared_observed<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-        context: &crate::context::QueryContext,
+        context: &QueryContext,
         k: usize,
         epsilon: Epsilon,
         obs: &dyn PhaseObserver,
     ) -> Result<PrivBasisOutput, PrivBasisError> {
-        self.run_pipeline(
-            rng,
-            context.engine(),
-            context.items_by_frequency(),
-            |k1| context.theta_count(k1),
-            k,
-            epsilon,
-            None,
-            obs,
-        )
+        self.run_pipeline(rng, context, k, epsilon, None, obs)
     }
 
     /// [`PrivBasis::run_shared_observed`] with a [`CountTransform`] rewriting every
@@ -271,35 +172,23 @@ impl PrivBasis {
     pub fn run_shared_transformed<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-        context: &crate::context::QueryContext,
+        context: &QueryContext,
         k: usize,
         epsilon: Epsilon,
         transform: CountTransform<'_>,
         obs: &dyn PhaseObserver,
     ) -> Result<PrivBasisOutput, PrivBasisError> {
-        self.run_pipeline(
-            rng,
-            context.engine(),
-            context.items_by_frequency(),
-            |k1| context.theta_count(k1),
-            k,
-            epsilon,
-            Some(transform),
-            obs,
-        )
+        self.run_pipeline(rng, context, k, epsilon, Some(transform), obs)
     }
 
-    /// The shared body of the `run*` entry points. `theta_for` supplies the exact
-    /// support count of the `k1`-th itemset (memoized by serving layers — the dominant
-    /// per-query cost on large databases); `engine` decides where the exact counting
-    /// happens without changing a single released bit.
-    #[allow(clippy::too_many_arguments)]
+    /// The shared body of the `run*` entry points. The context supplies every exact
+    /// count — the item ranking, the memoized θ anchor of the `k1`-th itemset (the
+    /// dominant per-query cost on large databases), pair supports and bin histograms —
+    /// from its shards; the shard count never changes a single released bit.
     fn run_pipeline<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-        engine: Engine<'_>,
-        items_by_freq: &[(Item, usize)],
-        theta_for: impl FnOnce(usize) -> f64,
+        context: &QueryContext,
         k: usize,
         epsilon: Epsilon,
         transform: Option<CountTransform<'_>>,
@@ -311,7 +200,8 @@ impl PrivBasis {
         if k == 0 {
             return Err(PrivBasisError::InvalidK);
         }
-        let n = engine.num_transactions();
+        let items_by_freq = context.items_by_frequency();
+        let n = context.num_transactions();
         if n == 0 || items_by_freq.is_empty() {
             return Err(PrivBasisError::EmptyDatabase);
         }
@@ -327,7 +217,7 @@ impl PrivBasis {
         let t_lambda = obs.now();
         let eta = self.params.eta_for(k);
         let k1 = ((k as f64 * eta).ceil() as usize).max(1);
-        let theta = theta_for(k1) / n as f64;
+        let theta = context.theta_count(k1) / n as f64;
         let lambda = get_lambda(rng, n, items_by_freq, theta, eps_lambda)?;
         let lambda = lambda.clamp(1, items_by_freq.len());
         obs.phase("lambda", t_lambda, obs.now());
@@ -338,17 +228,8 @@ impl PrivBasis {
             let frequent_items =
                 self.select_frequent_items(rng, n, items_by_freq, lambda, eps_select)?;
             obs.phase("select_items", t_items, obs.now());
-            let owned_index = self.owned_index(engine, &frequent_items);
             let basis_set = BasisSet::single(frequent_items.clone());
-            let counts = self.count_bases(
-                rng,
-                engine,
-                owned_index.as_ref(),
-                &basis_set,
-                eps_counts,
-                transform,
-                obs,
-            );
+            let counts = self.count_bases(rng, context, &basis_set, eps_counts, transform, obs);
             Ok(PrivBasisOutput {
                 itemsets: counts.top_k(k),
                 lambda,
@@ -375,22 +256,12 @@ impl PrivBasis {
             let frequent_items =
                 self.select_frequent_items(rng, n, items_by_freq, lambda, eps_items)?;
             obs.phase("select_items", t_items, obs.now());
-            let owned_index = self.owned_index(engine, &frequent_items);
 
             let t_pairs = obs.now();
             let frequent_pairs = match eps_pairs {
                 Some(eps_pairs) if frequent_items.len() >= 2 => {
-                    // Exact pair supports from whichever engine is counting: the index,
-                    // a row scan, or the per-shard merge — identical integers each way.
-                    let pair_counts = match engine {
-                        Engine::Sharded(s) => s.pair_counts(&frequent_items),
-                        Engine::Local { db, shared_index } => {
-                            match shared_index.or(owned_index.as_ref()) {
-                                Some(ix) => ix.pair_counts(&frequent_items),
-                                None => db.pair_counts(&frequent_items),
-                            }
-                        }
-                    };
+                    // Exact pair supports, per shard and merged by summation.
+                    let pair_counts = context.sharded_db().pair_counts(&frequent_items);
                     self.select_frequent_pairs(
                         rng,
                         n,
@@ -408,15 +279,7 @@ impl PrivBasis {
             let basis_set =
                 construct_basis_set(&frequent_items, &frequent_pairs, self.params.max_basis_len);
             obs.phase("construct", t_construct, obs.now());
-            let counts = self.count_bases(
-                rng,
-                engine,
-                owned_index.as_ref(),
-                &basis_set,
-                eps_counts,
-                transform,
-                obs,
-            );
+            let counts = self.count_bases(rng, context, &basis_set, eps_counts, transform, obs);
             Ok(PrivBasisOutput {
                 itemsets: counts.top_k(k),
                 lambda,
@@ -429,74 +292,47 @@ impl PrivBasis {
         }
     }
 
-    /// The per-run restricted index of the local engine: built over only the λ selected
-    /// items, so memory stays `O(λ·N/64)` words however sparse and wide the item
-    /// universe is. `None` when a shared index exists, when `params.use_index` is off,
-    /// or when the engine is sharded (each shard already owns its index).
-    fn owned_index(&self, engine: Engine<'_>, frequent_items: &ItemSet) -> Option<VerticalIndex> {
-        match engine {
-            Engine::Local {
-                db,
-                shared_index: None,
-            } => self
-                .params
-                .use_index
-                .then(|| VerticalIndex::build_restricted(db, frequent_items)),
-            _ => None,
-        }
-    }
-
-    /// Step 5 dispatch: BasisFreq on whichever engine is counting — shared or
-    /// per-run index, row scan, or the sharded merge — followed by the (budget-free)
+    /// Step 5: BasisFreq over the context's shards, followed by the (budget-free)
     /// consistency post-processing when `params.consistency` is set, then the optional
-    /// [`CountTransform`] (the LDP debias). Identical output every way for a fixed
-    /// seed: all engines produce the same exact counts, consume the same noise stream,
-    /// and both post-passes are deterministic.
-    #[allow(clippy::too_many_arguments)]
+    /// [`CountTransform`] (the LDP debias). Identical output for any shard count and a
+    /// fixed seed: the merged exact counts are integer sums, the noise stream is drawn
+    /// once against them, and both post-passes are deterministic.
     fn count_bases<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-        engine: Engine<'_>,
-        owned_index: Option<&VerticalIndex>,
+        context: &QueryContext,
         basis_set: &BasisSet,
         eps: Epsilon,
         transform: Option<CountTransform<'_>>,
         obs: &dyn PhaseObserver,
     ) -> NoisyCandidateCounts {
-        let mut counts = match engine {
-            Engine::Sharded(s) => {
-                // BasisFreq draws every Laplace variate *before* the exact counting
-                // closure runs, so the window from call start to closure entry is the
-                // noise draw, the closure itself is the per-shard fan-out + merge, and
-                // the remainder is the noisy reconstruction — three clean phases
-                // without moving a single statement of the mechanism.
-                let t_call = obs.now();
-                let merge_window = std::cell::Cell::new((t_call, t_call));
-                let c = basis_freq_counts_with_histograms(rng, basis_set, eps, |bases| {
-                    let t = obs.now();
-                    let hists = s.bin_histograms(bases);
-                    merge_window.set((t, obs.now()));
-                    hists
-                });
-                let (merge_start, merge_end) = merge_window.get();
-                obs.phase("noise_draw", t_call, merge_start);
-                obs.phase("shard_merge", merge_start, merge_end);
-                obs.phase("reconstruct", merge_end, obs.now());
-                c
-            }
-            Engine::Local { db, shared_index } => {
-                let t_count = obs.now();
-                let c = match shared_index.or(owned_index) {
-                    Some(ix) => basis_freq_counts_with_index(rng, ix, basis_set, eps),
-                    None => basis_freq_counts_naive(rng, db, basis_set, eps),
-                };
-                obs.phase("count", t_count, obs.now());
-                c
-            }
+        // BasisFreq draws every Laplace variate *before* the exact counting closure
+        // runs, so the window from call start to closure entry is the noise draw, the
+        // closure itself is the exact histogram count (the per-shard fan-out and merge
+        // when there is more than one shard), and the remainder is the noisy
+        // reconstruction — three clean phases without moving a single statement of the
+        // mechanism.
+        let sharded = context.sharded_db();
+        let t_call = obs.now();
+        let count_window = std::cell::Cell::new((t_call, t_call));
+        let mut counts = basis_freq_counts_with_histograms(rng, basis_set, eps, |bases| {
+            let t = obs.now();
+            let hists = sharded.bin_histograms(bases);
+            count_window.set((t, obs.now()));
+            hists
+        });
+        let (count_start, count_end) = count_window.get();
+        let count_stage = if context.num_shards() == 1 {
+            "count"
+        } else {
+            "shard_merge"
         };
+        obs.phase("noise_draw", t_call, count_start);
+        obs.phase(count_stage, count_start, count_end);
+        obs.phase("reconstruct", count_end, obs.now());
         if let Some(options) = self.params.consistency {
             let t_consistency = obs.now();
-            let adjusted = enforce_consistency(&counts, engine.num_transactions(), options);
+            let adjusted = enforce_consistency(&counts, context.num_transactions(), options);
             counts.apply_adjusted_counts(&adjusted);
             obs.phase("consistency", t_consistency, obs.now());
         }
@@ -604,20 +440,6 @@ impl PrivBasis {
     }
 }
 
-/// The exact support count of the `k1`-th most frequent itemset (or of the rarest one
-/// when fewer than `k1` exist) — the θ anchor of step 1. A deterministic function of the
-/// data, so serving layers memoize it per `(dataset, k1)` via
-/// [`QueryContext`](crate::context::QueryContext); on large databases this non-private
-/// mining pass dominates the per-query cost.
-pub(crate) fn theta_count_direct(db: &TransactionDb, k1: usize) -> f64 {
-    let top = top_k_itemsets(db, k1, None);
-    if top.len() >= k1 {
-        top[k1 - 1].count as f64
-    } else {
-        top.last().map(|f| f.count as f64).unwrap_or(0.0)
-    }
-}
-
 /// Step 1 — `GetLambda`: sample the item rank whose frequency is closest to `theta`, the
 /// frequency of the (η·k)-th most frequent itemset. The quality of rank `j` is
 /// `(1 − |f_itemⱼ − θ|)·N` (sensitivity 1); the paper keeps the standard `ε/2` exponent.
@@ -641,6 +463,9 @@ fn get_lambda<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::freq::{basis_freq_counts_naive, basis_freq_counts_sharded};
+    use pb_fim::topk::top_k_itemsets;
+    use pb_shard::ShardedDb;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::HashSet;
@@ -812,35 +637,44 @@ mod tests {
 
     #[test]
     fn indexed_and_naive_runs_are_byte_identical() {
+        // The row-scan engine is the reference for the indexed one: on the bases a run
+        // actually selected, it reproduces the run's noisy counts bit for bit under the
+        // same noise stream, and its noiseless top-k is the run's noiseless release.
         let db = dense_db(2_500);
-        let indexed = PrivBasis::with_defaults();
-        let naive = PrivBasis::new(PrivBasisParams {
-            use_index: false,
+        let pb = PrivBasis::new(PrivBasisParams {
+            consistency: None,
             ..Default::default()
         });
+        let context = QueryContext::new(Arc::new(db.clone()));
         for seed in [0u64, 1, 2, 42] {
-            let a = indexed
-                .run(
-                    &mut StdRng::seed_from_u64(seed),
-                    &db,
-                    6,
-                    Epsilon::Finite(0.8),
-                )
+            let out = pb
+                .run(&mut StdRng::seed_from_u64(seed), &db, 6, Epsilon::Infinite)
                 .unwrap();
-            let b = naive
-                .run(
-                    &mut StdRng::seed_from_u64(seed),
-                    &db,
-                    6,
-                    Epsilon::Finite(0.8),
-                )
-                .unwrap();
-            assert_eq!(a.lambda, b.lambda);
-            assert_eq!(a.basis_set, b.basis_set);
-            assert_eq!(a.itemsets.len(), b.itemsets.len());
-            for ((sa, ca), (sb, cb)) in a.itemsets.iter().zip(&b.itemsets) {
+            let naive = basis_freq_counts_naive(
+                &mut StdRng::seed_from_u64(seed),
+                &db,
+                &out.basis_set,
+                Epsilon::Infinite,
+            );
+            assert_eq!(out.itemsets, naive.top_k(6));
+
+            let eps = Epsilon::Finite(0.8);
+            let indexed = basis_freq_counts_sharded(
+                &mut StdRng::seed_from_u64(seed),
+                context.sharded_db(),
+                &out.basis_set,
+                eps,
+            );
+            let naive =
+                basis_freq_counts_naive(&mut StdRng::seed_from_u64(seed), &db, &out.basis_set, eps);
+            assert_eq!(indexed.len(), naive.len());
+            for ((sa, ca), (sb, cb)) in indexed.iter().zip(naive.iter()) {
                 assert_eq!(sa, sb);
-                assert_eq!(ca.to_bits(), cb.to_bits(), "counts differ for {sa:?}");
+                assert_eq!(
+                    ca.count.to_bits(),
+                    cb.count.to_bits(),
+                    "counts differ for {sa:?}"
+                );
             }
         }
     }
@@ -862,11 +696,12 @@ mod tests {
                     )
                     .unwrap();
                 for shards in [1usize, 2, 8] {
-                    let sharded = pb_shard::ShardedDb::partition(&db, shards);
+                    let context =
+                        QueryContext::sharded(ShardedDb::partition(&db, shards).into_shared());
                     let out = pb
-                        .run_sharded(
+                        .run_shared(
                             &mut StdRng::seed_from_u64(seed),
-                            &sharded,
+                            &context,
                             k,
                             Epsilon::Finite(0.8),
                         )
@@ -892,7 +727,7 @@ mod tests {
         let items = db.items_by_frequency();
         let mut rng = StdRng::seed_from_u64(10);
         // k = 5, η = 1.1 ⇒ k1 = 6, as run_pipeline would compute it.
-        let theta = theta_count_direct(&db, 6) / db.len() as f64;
+        let theta = top_k_itemsets(&db, 6, None)[5].count as f64 / db.len() as f64;
         let lambda = get_lambda(&mut rng, db.len(), &items, theta, Epsilon::Infinite).unwrap();
         assert!(lambda >= 1 && lambda <= items.len());
         // Top-5·1.1 itemsets in this dense database involve only the first handful of items,
@@ -950,11 +785,11 @@ mod tests {
 
     #[test]
     fn shared_full_index_is_byte_identical_to_per_query_build() {
-        // run_with_index serves the pb-service cached-index path: counting against one
-        // full prebuilt index must not change a single bit of the release.
+        // A serving layer's long-lived context (full index built once, θ memoized across
+        // queries) must not change a single bit of the release a one-shot run makes.
         let pb = PrivBasis::with_defaults();
         for (db, k) in [(dense_db(2_500), 6usize), (sparse_db(3_000), 25)] {
-            let index = VerticalIndex::build(&db);
+            let context = QueryContext::new(Arc::new(db.clone()));
             for seed in [0u64, 3, 9] {
                 let a = pb
                     .run(
@@ -965,10 +800,9 @@ mod tests {
                     )
                     .unwrap();
                 let b = pb
-                    .run_with_index(
+                    .run_shared(
                         &mut StdRng::seed_from_u64(seed),
-                        &db,
-                        Some(&index),
+                        &context,
                         k,
                         Epsilon::Finite(0.8),
                     )

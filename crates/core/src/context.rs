@@ -9,145 +9,76 @@
 //! benchmark). [`QueryContext`] bundles that precomputation behind cheap shared
 //! references so [`PrivBasis::run_shared`](crate::PrivBasis::run_shared) can skip it.
 //!
-//! A context has one of two backends, chosen at construction and invisible in the
-//! released bytes:
-//!
-//! * [`QueryContext::new`] — a single database with one full [`VerticalIndex`],
-//! * [`QueryContext::sharded`] — a row-partitioned [`ShardedDb`]: counting fans out
-//!   across the shards and merges by summation, θ anchors come from the sharded
-//!   best-first miner, and noise is still drawn once on the merged counts — so a pinned
-//!   seed produces byte-identical [`PrivBasisOutput`](crate::PrivBasisOutput) whatever
-//!   the shard count.
+//! Every context counts through one engine, a row-partitioned [`ShardedDb`]:
+//! [`QueryContext::new`] wraps a single database as the 1-shard layout (the rows are
+//! shared, not copied) and [`QueryContext::sharded`] takes any layout. Counting fans out
+//! across the shards and merges by summation, θ anchors come from the best-first miner
+//! [`ShardedDb::kth_support_count`], and noise is drawn once on the merged counts — so a
+//! pinned seed produces byte-identical [`PrivBasisOutput`](crate::PrivBasisOutput)
+//! whatever the shard count.
 //!
 //! Reusing deterministic precomputation is privacy-neutral: every cached value is a fixed
 //! function of the database, identical to what each query would have recomputed, so each
 //! query's ε accounting is unchanged — byte-identically so, which
 //! `shared_context_is_byte_identical_to_run` asserts.
 
-use crate::algorithm::{theta_count_direct, Engine};
 use pb_fim::itemset::Item;
-use pb_fim::{TransactionDb, VerticalIndex};
+use pb_fim::TransactionDb;
 use pb_shard::ShardedDb;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Where a context's exact counts come from.
-#[derive(Debug)]
-enum Backend {
-    /// One database, one full index, one item ranking.
-    Single {
-        db: Arc<TransactionDb>,
-        index: Arc<VerticalIndex>,
-        items_by_freq: Vec<(Item, usize)>,
-    },
-    /// Row shards, each with its own index; counts merge by summation. The merged item
-    /// ranking is cached inside the [`ShardedDb`] itself — no second copy here.
-    Sharded(Arc<ShardedDb>),
-}
-
 /// Cached deterministic per-dataset state shared across queries.
 #[derive(Debug)]
 pub struct QueryContext {
-    backend: Backend,
+    /// The rows, one index per shard; the merged item ranking is cached inside.
+    sharded: Arc<ShardedDb>,
     /// `k1 → exact support count of the k1-th most frequent itemset`. Different queries
     /// use different `k` (hence `k1`), so this memo grows with the distinct `k1`s seen.
     theta_counts: Mutex<HashMap<usize, f64>>,
 }
 
 impl QueryContext {
-    /// Builds a single-database context: one full index build plus one item-frequency
-    /// scan.
+    /// Builds a context over one database: the 1-shard layout, sharing `db`'s rows.
     ///
     /// θ counts are *not* precomputed (they depend on the query's `k`); each distinct
     /// `k1` is mined once on first use and memoized.
     pub fn new(db: Arc<TransactionDb>) -> Self {
-        let index = VerticalIndex::build(&db).into_shared();
-        let items_by_freq = db.items_by_frequency();
-        QueryContext {
-            backend: Backend::Single {
-                db,
-                index,
-                items_by_freq,
-            },
-            theta_counts: Mutex::new(HashMap::new()),
-        }
+        QueryContext::sharded(ShardedDb::from_shards(vec![db]).into_shared())
     }
 
-    /// Builds a sharded context over a pre-partitioned database: the per-shard indexes
-    /// are built (in parallel, on first use per shard) and the item ranking is merged
-    /// from the shards. Queries through this context release byte-identical output to a
-    /// single-database context over the same rows, for any shard count.
+    /// Builds a context over a pre-partitioned database: the per-shard indexes are
+    /// built and the item ranking is merged from the shards. Queries through this
+    /// context release byte-identical output for any shard count.
     pub fn sharded(sharded: Arc<ShardedDb>) -> Self {
-        // Force the merged ranking now (it is cached inside the ShardedDb) so first
-        // queries find a fully warm context, mirroring `new`.
+        // Force the merged ranking now (it is cached inside the ShardedDb, and building
+        // it builds every local shard's index) so first queries find a warm context.
         let _ = sharded.items_by_frequency();
         QueryContext {
-            backend: Backend::Sharded(sharded),
+            sharded,
             theta_counts: Mutex::new(HashMap::new()),
         }
     }
 
     /// Total number of transactions behind the context.
     pub fn num_transactions(&self) -> usize {
-        match &self.backend {
-            Backend::Single { db, .. } => db.len(),
-            Backend::Sharded(s) => s.num_transactions(),
-        }
+        self.sharded.num_transactions()
     }
 
-    /// Number of shards the context counts over (1 for a single-database context).
+    /// Number of shards the context counts over (1 for a single database).
     pub fn num_shards(&self) -> usize {
-        match &self.backend {
-            Backend::Single { .. } => 1,
-            Backend::Sharded(s) => s.num_shards().max(1),
-        }
+        self.sharded.num_shards().max(1)
     }
 
-    /// The underlying single database, `None` for a sharded context (whose rows live in
-    /// [`QueryContext::sharded_db`]).
-    pub fn db(&self) -> Option<&Arc<TransactionDb>> {
-        match &self.backend {
-            Backend::Single { db, .. } => Some(db),
-            Backend::Sharded(_) => None,
-        }
-    }
-
-    /// The cached full vertical index, `None` for a sharded context (each shard owns
-    /// its own index).
-    pub fn index(&self) -> Option<&Arc<VerticalIndex>> {
-        match &self.backend {
-            Backend::Single { index, .. } => Some(index),
-            Backend::Sharded(_) => None,
-        }
-    }
-
-    /// The sharded database, `None` for a single-database context.
-    pub fn sharded_db(&self) -> Option<&Arc<ShardedDb>> {
-        match &self.backend {
-            Backend::Single { .. } => None,
-            Backend::Sharded(s) => Some(s),
-        }
+    /// The sharded database every count runs against.
+    pub fn sharded_db(&self) -> &Arc<ShardedDb> {
+        &self.sharded
     }
 
     /// Items by descending frequency (same contract as
-    /// [`TransactionDb::items_by_frequency`]; merged across shards when sharded).
+    /// [`TransactionDb::items_by_frequency`], merged across shards).
     pub fn items_by_frequency(&self) -> &[(Item, usize)] {
-        match &self.backend {
-            Backend::Single { items_by_freq, .. } => items_by_freq,
-            // The ShardedDb caches the merged ranking itself — one copy, not two.
-            Backend::Sharded(s) => s.items_by_frequency(),
-        }
-    }
-
-    /// The counting engine `run_shared` hands to the pipeline.
-    pub(crate) fn engine(&self) -> Engine<'_> {
-        match &self.backend {
-            Backend::Single { db, index, .. } => Engine::Local {
-                db,
-                shared_index: Some(index),
-            },
-            Backend::Sharded(s) => Engine::Sharded(s),
-        }
+        self.sharded.items_by_frequency()
     }
 
     /// The θ support count for one `k1`, mined on first use.
@@ -160,13 +91,10 @@ impl QueryContext {
         if let Some(&count) = self.lock().get(&k1) {
             return count;
         }
-        let count = match &self.backend {
-            Backend::Single { db, .. } => theta_count_direct(db, k1),
-            // The sharded best-first miner counts candidates across shards; same value
-            // as mining the concatenation (the support multiset is a property of the
-            // data, not the algorithm).
-            Backend::Sharded(s) => s.kth_support_count(k1),
-        };
+        // The best-first miner counts candidates across shards; same value as mining
+        // the concatenation (the support multiset is a property of the data, not the
+        // algorithm — `theta_matches_unsharded_miner` pins it against fpgrowth).
+        let count = self.sharded.kth_support_count(k1);
         self.lock().insert(k1, count);
         count
     }
@@ -201,6 +129,14 @@ mod tests {
         TransactionDb::from_transactions(rows).into_shared()
     }
 
+    /// The θ anchor as fpgrowth mines it from the unsharded rows.
+    fn fpgrowth_theta(db: &TransactionDb, k1: usize) -> f64 {
+        let top = pb_fim::topk::top_k_itemsets(db, k1, None);
+        top.get(k1 - 1)
+            .or(top.last())
+            .map_or(0.0, |f| f.count as f64)
+    }
+
     #[test]
     fn context_matches_direct_computation() {
         let db = db();
@@ -208,14 +144,10 @@ mod tests {
         assert_eq!(ctx.items_by_frequency(), &db.items_by_frequency()[..]);
         assert_eq!(ctx.num_transactions(), db.len());
         assert_eq!(ctx.num_shards(), 1);
-        assert_eq!(ctx.db().unwrap().len(), db.len());
-        assert_eq!(ctx.index().unwrap().num_transactions(), db.len());
-        assert!(ctx.sharded_db().is_none());
+        // The 1-shard layout shares the caller's rows instead of copying them.
+        assert!(Arc::ptr_eq(ctx.sharded_db().shards()[0].db(), &db));
         for k1 in [1usize, 3, 7] {
-            assert_eq!(
-                ctx.theta_count(k1),
-                crate::algorithm::theta_count_direct(&db, k1)
-            );
+            assert_eq!(ctx.theta_count(k1), fpgrowth_theta(&db, k1));
         }
         // Memoized: three distinct k1 values, repeats hit the cache.
         assert_eq!(ctx.theta_cache_len(), 3);
@@ -230,14 +162,12 @@ mod tests {
         let ctx = QueryContext::sharded(Arc::clone(&sharded));
         assert_eq!(ctx.num_transactions(), db.len());
         assert_eq!(ctx.num_shards(), 4);
-        assert!(ctx.db().is_none());
-        assert!(ctx.index().is_none());
-        assert!(ctx.sharded_db().is_some());
+        assert!(Arc::ptr_eq(ctx.sharded_db(), &sharded));
         assert_eq!(ctx.items_by_frequency(), &db.items_by_frequency()[..]);
         for k1 in [1usize, 3, 7] {
             assert_eq!(
                 ctx.theta_count(k1),
-                crate::algorithm::theta_count_direct(&db, k1),
+                fpgrowth_theta(&db, k1),
                 "θ anchor must not depend on sharding (k1 = {k1})"
             );
         }

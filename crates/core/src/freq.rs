@@ -25,7 +25,9 @@
 //!   against and the baseline the benchmarks measure speedups from.
 //! * **Sharded** ([`basis_freq_counts_sharded`]) — per-shard histograms over a
 //!   [`ShardedDb`], merged by summation before the noise is applied (bins over disjoint
-//!   row shards sum exactly; noise is drawn once, never per shard).
+//!   row shards sum exactly; noise is drawn once, never per shard). Every
+//!   [`PrivBasis`](crate::PrivBasis) release counts this way, an unsharded database
+//!   being the 1-shard layout.
 //!
 //! All engines draw the per-bin Laplace noise in exactly the same order *before* any
 //! counting happens, and the exact histograms are integers, so for a fixed RNG seed the
@@ -407,7 +409,7 @@ pub fn basis_freq_counts<R: Rng + ?Sized>(
 /// The row-scan engine: Algorithm 1 exactly as the paper states it, with no index.
 ///
 /// Byte-identical output to [`basis_freq_counts`] for the same seed; kept as the
-/// correctness reference and benchmark baseline (`--no-index` in the CLI).
+/// correctness reference the indexed engines are tested and benchmarked against.
 pub fn basis_freq_counts_naive<R: Rng + ?Sized>(
     rng: &mut R,
     db: &TransactionDb,
@@ -430,7 +432,7 @@ pub fn basis_freq<R: Rng + ?Sized>(
     basis_freq_counts(rng, db, basis_set, epsilon).top_k(k)
 }
 
-/// Full Algorithm 1 on the row-scan engine (reference / `--no-index` path).
+/// Full Algorithm 1 on the row-scan engine (the test and benchmark reference).
 pub fn basis_freq_naive<R: Rng + ?Sized>(
     rng: &mut R,
     db: &TransactionDb,

@@ -1,8 +1,8 @@
-//! Property test: `PrivBasis::run_sharded` is byte-identical to `PrivBasis::run` on the
-//! unsharded database for shard counts 1..=8 and pinned seeds — with the consistency
-//! pass in its default-on configuration and with it disabled.
+//! Property test: a release through a `QueryContext` over S row shards is byte-identical
+//! to `PrivBasis::run` on the unsharded database for shard counts 1..=8 and pinned seeds
+//! — with the consistency pass in its default-on configuration and with it disabled.
 
-use pb_core::{PrivBasis, PrivBasisParams};
+use pb_core::{PrivBasis, PrivBasisParams, QueryContext};
 use pb_dp::Epsilon;
 use pb_fim::TransactionDb;
 use pb_shard::ShardedDb;
@@ -33,9 +33,9 @@ proptest! {
         };
         let eps = Epsilon::Finite(0.6);
         let reference = pb.run(&mut StdRng::seed_from_u64(seed), &db, k, eps).unwrap();
-        let sharded = ShardedDb::partition(&db, shards);
+        let context = QueryContext::sharded(ShardedDb::partition(&db, shards).into_shared());
         let out = pb
-            .run_sharded(&mut StdRng::seed_from_u64(seed), &sharded, k, eps)
+            .run_shared(&mut StdRng::seed_from_u64(seed), &context, k, eps)
             .unwrap();
         prop_assert_eq!(reference.lambda, out.lambda);
         prop_assert_eq!(reference.lambda2, out.lambda2);

@@ -34,7 +34,6 @@ pub mod exponential;
 pub mod geometric;
 pub mod laplace;
 pub mod ledger;
-pub mod noisy_max;
 
 pub use budget::PrivacyBudget;
 pub use epsilon::Epsilon;
@@ -42,7 +41,6 @@ pub use exponential::{exponential_mechanism, sample_without_replacement, Exponen
 pub use geometric::GeometricNoise;
 pub use laplace::{laplace_mechanism, sample_laplace, LaplaceNoise};
 pub use ledger::{BudgetLedger, DebitSink};
-pub use noisy_max::{noisy_max_without_replacement, report_noisy_max};
 
 /// Errors produced by the DP layer.
 #[derive(Debug, Clone, PartialEq)]

@@ -58,6 +58,12 @@ impl Bitmap {
         &self.words
     }
 
+    /// Allocated capacity of the word buffer (tests pin that it is not over-allocated).
+    #[cfg(test)]
+    pub(crate) fn word_capacity(&self) -> usize {
+        self.words.capacity()
+    }
+
     /// Sets bit `i`.
     ///
     /// # Panics

@@ -90,7 +90,7 @@ impl VerticalIndex {
         VerticalIndex {
             num_transactions: n,
             items,
-            bitmaps: split_flat(flat, num_words, n),
+            bitmaps: split_flat(&flat, num_words, n),
         }
     }
 
@@ -157,7 +157,7 @@ impl VerticalIndex {
         VerticalIndex {
             num_transactions: n,
             items,
-            bitmaps: split_flat(flat, num_words, n),
+            bitmaps: split_flat(&flat, num_words, n),
         }
     }
 
@@ -365,19 +365,15 @@ impl VerticalIndex {
 }
 
 /// Splits an item-major flat word array (`num_words` words per item) into per-item
-/// bitmaps over `len_bits` bits.
-fn split_flat(mut flat: Vec<u64>, num_words: usize, len_bits: usize) -> Vec<Bitmap> {
-    let mut bitmaps = Vec::with_capacity(if num_words == 0 {
-        0
-    } else {
-        flat.len() / num_words.max(1)
-    });
-    while !flat.is_empty() {
-        let rest = flat.split_off(num_words.min(flat.len()));
-        bitmaps.push(Bitmap::from_words(flat, len_bits));
-        flat = rest;
+/// bitmaps over `len_bits` bits. Each bitmap gets its own exactly sized buffer: one pass
+/// over `flat`, `O(items · num_words)` words in total.
+fn split_flat(flat: &[u64], num_words: usize, len_bits: usize) -> Vec<Bitmap> {
+    if num_words == 0 {
+        return Vec::new();
     }
-    bitmaps
+    flat.chunks_exact(num_words)
+        .map(|words| Bitmap::from_words(words.to_vec(), len_bits))
+        .collect()
 }
 
 /// Maps items to bitmap slots. When item ids are dense (the common case — generators and
@@ -557,6 +553,20 @@ mod tests {
 
     fn set(items: &[u32]) -> ItemSet {
         ItemSet::new(items.to_vec())
+    }
+
+    #[test]
+    fn bitmaps_own_exactly_sized_buffers() {
+        // Each bitmap must own exactly `num_words` words: a bitmap that keeps the tail
+        // of the flat build array alive makes the index O(items²) words.
+        let rows: Vec<Vec<u32>> = (0..300u32).map(|i| vec![i % 40, 40 + i % 7]).collect();
+        let db = TransactionDb::from_transactions(rows);
+        let idx = VerticalIndex::build(&db);
+        let num_words = db.len().div_ceil(64);
+        assert_eq!(idx.items().len(), 47);
+        for item in idx.items() {
+            assert_eq!(idx.item_bitmap(*item).unwrap().word_capacity(), num_words);
+        }
     }
 
     #[test]

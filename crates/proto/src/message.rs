@@ -963,7 +963,7 @@ pub struct DatasetStatus {
     pub remaining: f64,
     /// Successfully answered queries.
     pub queries: u64,
-    /// Row shards the dataset is counted over (1 = single index).
+    /// Row shards the dataset is counted over (1 = unsharded).
     pub shards: u64,
     /// The LDP channel of a `mode: ldp` dataset; `None` for central-mode datasets.
     /// Encoded on the wire (as `mode`/`epsilon_local`/`universe`/`pad`) only when

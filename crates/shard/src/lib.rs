@@ -31,7 +31,8 @@
 //!
 //! This crate is deliberately privacy-free: it only counts. The noise, budget split, and
 //! selection mechanisms all live in `pb-core`/`pb-dp`, which consume these merges
-//! through `PrivBasis::run_sharded` and `QueryContext::sharded`.
+//! through `QueryContext`. A [`ShardedDb`] is the only counting engine: an unsharded
+//! dataset is simply the 1-shard layout.
 //!
 //! ## Quick example
 //!

@@ -18,9 +18,9 @@ pub struct Shard {
 }
 
 impl Shard {
-    fn new(db: TransactionDb) -> Shard {
+    fn new(db: Arc<TransactionDb>) -> Shard {
         Shard {
-            db: db.into_shared(),
+            db,
             index: OnceLock::new(),
         }
     }
@@ -78,7 +78,9 @@ impl ShardedDb {
         let shards: Vec<Shard> = plan
             .boundaries(rows.len())
             .into_iter()
-            .map(|range| Shard::new(TransactionDb::from_itemsets(rows[range].to_vec())))
+            .map(|range| {
+                Shard::new(TransactionDb::from_itemsets(rows[range].to_vec()).into_shared())
+            })
             .collect();
         ShardedDb {
             plan,
@@ -93,9 +95,12 @@ impl ShardedDb {
 
     /// Assembles a sharded database from pre-split shards (e.g. one file per shard).
     /// Row order across shards is the concatenation order, matching an unsharded
-    /// database built from the same concatenation.
-    pub fn from_shards(shards: Vec<TransactionDb>) -> ShardedDb {
-        let num_transactions = shards.iter().map(TransactionDb::len).sum();
+    /// database built from the same concatenation. Shards are taken as they are — an
+    /// `Arc<TransactionDb>` is shared, not copied — so `from_shards(vec![db])` is the
+    /// zero-copy 1-shard layout every single-database caller counts through.
+    pub fn from_shards<D: Into<Arc<TransactionDb>>>(shards: Vec<D>) -> ShardedDb {
+        let shards: Vec<Arc<TransactionDb>> = shards.into_iter().map(Into::into).collect();
+        let num_transactions = shards.iter().map(|db| db.len()).sum();
         let shards: Vec<Shard> = shards
             .into_iter()
             .filter(|db| !db.is_empty())
